@@ -8,9 +8,12 @@ The quantity minimized everywhere is the convex depth function
 A family has a common point iff the minimum is <= 0; the minimizing
 point is the reported witness.  Families of at most three disks are
 solved exactly by candidate enumeration (centers, pair balance points,
-circle-circle intersections, and equal-depth points of three cones);
-larger families run a subgradient descent polished by the exact
-small-family solver on the active disks.
+circle-circle intersections, and equal-depth points of three cones).
+Minimizing f is an LP-type problem of combinatorial dimension 3
+(Matousek-Sharir-Welzl), so larger families run a violator loop whose
+bases of at most three disks go to that exact solver; the final basis
+is reported with the result and certifies an empty intersection.
+Ellipse families run a numeric subgradient minimax.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ class PiercingResult:
     witness: Point | None
     depth: float
     iterations: int = 0
+    basis: tuple[int, ...] = ()
 
 
 def _disk_scale(disks: Sequence[Disk]) -> float:
@@ -253,11 +257,13 @@ def _verdict(depth: float, tol: float) -> PiercingVerdict:
     return PiercingVerdict.NONEMPTY if depth < 0 else PiercingVerdict.EMPTY
 
 
-def _result(witness: Point, depth: float, tol: float, iterations: int) -> PiercingResult:
+def _result(
+    witness: Point, depth: float, tol: float, iterations: int, basis: tuple[int, ...] = ()
+) -> PiercingResult:
     verdict = _verdict(depth, tol)
     if verdict is PiercingVerdict.EMPTY:
-        return PiercingResult(verdict, None, depth, iterations)
-    return PiercingResult(verdict, witness, depth, iterations)
+        witness = None
+    return PiercingResult(verdict, witness, depth, iterations, basis)
 
 
 def triple_intersect_exact(d1: Disk, d2: Disk, d3: Disk) -> PiercingResult:
@@ -299,89 +305,50 @@ def _subgradient(
     return best_x, best_f, iterations
 
 
-def _disk_value_grad(disks: Sequence[Disk]) -> Callable[[Point], tuple[float, float, float]]:
-    def eval_at(x: Point) -> tuple[float, float, float]:
-        best = -math.inf
-        bi = 0
-        for i, d in enumerate(disks):
-            v = dist(x, d.center) - d.radius
-            if v > best:
-                best = v
-                bi = i
-        c = disks[bi].center
-        dx, dy = x.x - c.x, x.y - c.y
-        norm = math.hypot(dx, dy)
-        if norm == 0.0:
-            return best, 1.0, 0.0  # arbitrary fixed direction at a cone apex
-        return best, dx / norm, dy / norm
+def pierce_disks(disks: Sequence[Disk]) -> PiercingResult:
+    """Witness point, verdict and basis for an arbitrary disk family.
 
-    return eval_at
-
-
-def _polish_disks(
-    disks: Sequence[Disk], x: Point, depth: float, band: float, pool_cap: int = 8
-) -> tuple[Point, float]:
-    """Run the exact small solver over subsets of the near-active disks
-    and keep whichever point attains the smallest full-family depth."""
-    vals = sorted(
-        range(len(disks)),
-        key=lambda i: dist(x, disks[i].center) - disks[i].radius,
-        reverse=True,
-    )
-    fmax = dist(x, disks[vals[0]].center) - disks[vals[0]].radius
-    near = [i for i in vals if dist(x, disks[i].center) - disks[i].radius >= fmax - band]
-    near = near[:pool_cap]
-    best_x, best_depth = x, depth
-    for size in (1, 2, 3):
-        for subset in itertools.combinations(near, size):
-            cand, _ = _exact_small([disks[i] for i in subset])
-            d_all = disk_depth(cand, disks)
-            if d_all < best_depth:
-                best_x, best_depth = cand, d_all
-    return best_x, best_depth
-
-
-def _sweep_all_small_subsets(disks: Sequence[Disk], best_x: Point, best_depth: float) -> tuple[Point, float]:
-    for size in (1, 2, 3):
-        for subset in itertools.combinations(disks, min(size, len(disks))):
-            cand, _ = _exact_small(list(subset))
-            d_all = disk_depth(cand, disks)
-            if d_all < best_depth:
-                best_x, best_depth = cand, d_all
-    return best_x, best_depth
-
-
-def pierce_disks(disks: Sequence[Disk], max_iter: int = 6000) -> PiercingResult:
-    """Witness point and verdict for an arbitrary disk family.
-
-    Families of up to three disks are dispatched to the exact solver.
-    Larger families run the subgradient scheme from the centroid of the
-    centers, then polish with the exact solver on the (at most three)
-    active disks at the numeric optimum.
+    Families of up to three disks are dispatched to the exact solver;
+    their basis is every index.  Larger families run a violator loop
+    from basis ``(0,)``: the most-violated disk ``h`` (lowest index on
+    ties) enters, and the basis becomes the subset of at most three
+    disks of ``basis + (h,)`` that contains ``h`` and whose exact point
+    has the least depth over ``basis + (h,)``.  Each pivot raises the
+    basis depth strictly, so the loop ends when no disk is violated or,
+    under rounding, when the depth stops rising.  ``iterations`` counts
+    the pivots, and ``basis`` holds the sorted indices of the disks that
+    fix the optimum, a Helly certificate for an EMPTY verdict.
     """
     if not disks:
         raise ValueError("need at least one disk")
     disks = list(disks)
-    scale = _disk_scale(disks)
-    tol = pierce_tol(scale)
+    tol = pierce_tol(_disk_scale(disks))
     if len(disks) <= 3:
         witness, depth = _exact_small(disks)
-        return _result(witness, depth, tol, 0)
+        return _result(witness, depth, tol, 0, tuple(range(len(disks))))
 
-    max_iter = min(max_iter, 1_000_000)
-    x0 = Point(
-        sum(d.center.x for d in disks) / len(disks),
-        sum(d.center.y for d in disks) / len(disks),
-    )
-    x, depth, iterations = _subgradient(_disk_value_grad(disks), x0, scale, max_iter)
-    band = max(1e-5 * (1.0 + scale), 1e3 * tol)
-    x, depth = _polish_disks(disks, x, depth, band)
-    # A barely-positive depth after polishing may be solver error; the
-    # support of the true minimum has at most three disks, so a sweep of
-    # all small subsets settles it exactly for modest family sizes.
-    if tol < depth <= 1e-3 * (1.0 + scale) and len(disks) <= 12:
-        x, depth = _sweep_all_small_subsets(disks, x, depth)
-    return _result(x, depth, tol, iterations)
+    basis: tuple[int, ...] = (0,)
+    x, depth = _exact_small([disks[0]])
+    pivots = 0
+    while True:
+        values = [dist(x, d.center) - d.radius for d in disks]
+        h = max(range(len(disks)), key=values.__getitem__)
+        if values[h] <= depth:
+            break
+        pool = [disks[i] for i in basis + (h,)]
+        subsets = [
+            tuple(sorted(rest + (h,)))
+            for size in (0, 1, 2)
+            for rest in itertools.combinations(basis, size)
+        ]
+        points = [_exact_small([disks[i] for i in s])[0] for s in subsets]
+        depths = [disk_depth(p, pool) for p in points]
+        j = min(range(len(subsets)), key=depths.__getitem__)
+        if depths[j] <= depth:
+            break
+        basis, x, depth = subsets[j], points[j], depths[j]
+        pivots += 1
+    return _result(x, values[h], tol, pivots, basis)
 
 
 def _ellipse_scale(regions: Sequence[EllipseRegion]) -> float:

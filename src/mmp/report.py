@@ -29,7 +29,7 @@ from .tolerances import pierce_tol
 
 __all__ = ["RUN_REPORT_SCHEMA", "analyze", "run_report"]
 
-RUN_REPORT_SCHEMA = "mmp.run_report/1"
+RUN_REPORT_SCHEMA = "mmp.run_report/2"
 
 
 def _stretch_block(pairs, center: Point) -> dict:
@@ -72,6 +72,7 @@ def analyze(
         "witness": None if piercing.witness is None else [piercing.witness.x, piercing.witness.y],
         "depth": piercing.depth,
         "iterations": piercing.iterations,
+        "basis": list(piercing.basis),
     }
 
     if ps.is_colored:

@@ -87,8 +87,8 @@ class TestMatch:
         import mmp.report as report_mod
         from mmp.piercing import PiercingResult, PiercingVerdict
 
-        def fake_pierce(disks, max_iter=0):
-            return PiercingResult(PiercingVerdict.EMPTY, None, 1.0, 0)
+        def fake_pierce(disks):
+            return PiercingResult(verdict=PiercingVerdict.EMPTY, witness=None, depth=1.0)
 
         monkeypatch.setattr(report_mod, "pierce_disks", fake_pierce)
         code, _, err = run_cli(

@@ -18,6 +18,7 @@ from mmp.piercing import (
     stretch_report,
     triple_intersect_exact,
 )
+from mmp.tolerances import pierce_tol
 
 SQRT3 = math.sqrt(3.0)
 
@@ -32,6 +33,27 @@ def family_disks(eps=0.02):
     bp = P(-eps / 2, SQRT3 * (1 - eps / 2))
     cp = P(0, 3)
     return Disk.diametral(a, ap), Disk.diametral(b, bp), Disk.diametral(c, cp)
+
+
+def family_tol(disks):
+    return pierce_tol(max(max(abs(d.center.x), abs(d.center.y), d.radius) for d in disks))
+
+
+def random_disks(rng, n, r_lo, r_hi):
+    return [Disk(P(*rng.uniform(-1, 1, 2)), float(rng.uniform(r_lo, r_hi))) for _ in range(n)]
+
+
+def assert_basis_certifies(disks, res):
+    """The at most three basis disks alone reproduce the verdict and the
+    depth; an EMPTY basis is re-checked by the exact triple solver."""
+    assert len(res.basis) <= 3
+    sub = [disks[i] for i in res.basis]
+    again = pierce_disks(sub)
+    assert again.verdict is res.verdict
+    assert abs(again.depth - res.depth) <= family_tol(disks)
+    if res.verdict is PiercingVerdict.EMPTY:
+        trio = sub + [sub[0]] * (3 - len(sub))
+        assert triple_intersect_exact(*trio).verdict is PiercingVerdict.EMPTY
 
 
 class TestPairwise:
@@ -137,6 +159,7 @@ class TestPierceDisks:
                 for trio in itertools.combinations(disks, 3)
             )
             assert (res.verdict is not PiercingVerdict.EMPTY) == triples_ok
+            assert_basis_certifies(disks, res)
 
     def test_witness_validity(self):
         rng = np.random.default_rng(45)
@@ -149,6 +172,53 @@ class TestPierceDisks:
             res = pierce_disks(disks)
             if res.verdict is not PiercingVerdict.EMPTY:
                 assert disk_depth(res.witness, disks) <= 1e-8
+            assert_basis_certifies(disks, res)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_large_family_depth_is_max_triple_depth(self, n):
+        # Helly / LP-type value: the family depth is the worst triple's
+        rng = np.random.default_rng(47 + n)
+        for r_lo, r_hi in ((0.5, 1.5), (1.0, 3.0), (2.0, 4.0)):
+            disks = random_disks(rng, n, r_lo, r_hi)
+            res = pierce_disks(disks)
+            helly = max(
+                triple_intersect_exact(*trio).depth for trio in itertools.combinations(disks, 3)
+            )
+            assert abs(res.depth - helly) <= family_tol(disks)
+            assert_basis_certifies(disks, res)
+
+    def test_metamorphic_permutation_translation_scaling(self):
+        rng = np.random.default_rng(48)
+        for _ in range(25):
+            n = int(rng.integers(4, 11))
+            disks = random_disks(rng, n, 0.5, 2.0)
+            res = pierce_disks(disks)
+
+            perm = [int(i) for i in rng.permutation(n)]
+            shuffled = [disks[i] for i in perm]
+            moved = pierce_disks(shuffled)
+            assert moved.verdict is res.verdict
+            assert sorted(perm[i] for i in moved.basis) == list(res.basis)
+            assert abs(moved.depth - res.depth) <= family_tol(disks)
+            if moved.verdict is not PiercingVerdict.EMPTY:
+                assert disk_depth(moved.witness, disks) <= family_tol(disks)
+
+            # power-of-two scaling commutes with every rounding step
+            k = int(rng.integers(-8, 9))
+            f = 2.0**k
+            scaled = pierce_disks([Disk(P(d.center.x * f, d.center.y * f), d.radius * f) for d in disks])
+            assert scaled.depth == res.depth * f
+            assert scaled.basis == res.basis
+            if res.witness is not None:
+                assert scaled.witness == P(res.witness.x * f, res.witness.y * f)
+
+            # a dyadic shift rounds centers and witness at their new
+            # magnitude, so the depth holds to the band, not bit for bit
+            tx, ty = (float(v) / 8.0 for v in rng.integers(-32, 33, 2))
+            shifted = pierce_disks([Disk(P(d.center.x + tx, d.center.y + ty), d.radius) for d in disks])
+            assert shifted.verdict is res.verdict
+            assert shifted.basis == res.basis
+            assert abs(shifted.depth - res.depth) <= family_tol(disks)
 
     def test_sqrt2_chain_inside_disk(self):
         # any point of a diametral disk detours by at most sqrt(2)
