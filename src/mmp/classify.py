@@ -54,7 +54,7 @@ from .geom import (
     point_segment_distance,
     segments_cross,
 )
-from .tolerances import boundary_tol
+from .tolerances import boundary_tol, fragile_tol
 
 __all__ = [
     "PairRelationKind",
@@ -65,13 +65,7 @@ __all__ = [
     "pair_relation",
     "classify_three",
     "witness_easy_case",
-    "FRAGILE_REL",
 ]
-
-# Decision margins below this (relative to scale) mark a configuration
-# as fragile; fragile instances are excluded from strict property
-# statistics.
-FRAGILE_REL = 1e-7
 
 
 class PairRelationKind(Enum):
@@ -179,8 +173,9 @@ def pair_relation(s1: Segment, s2: Segment) -> PairRelation:
     is whichever endpoint lies inside the partner triangle), so the
     relation does not depend on the input orientation of the segments.
     """
-    scale = coordinate_scale(s1.p, s1.q, s2.p, s2.q)
-    ftol = FRAGILE_REL * (1.0 + scale)
+    # decision margins below ftol mark the relation fragile; fragile
+    # instances are excluded from strict property statistics
+    ftol = fragile_tol(coordinate_scale(s1.p, s1.q, s2.p, s2.q))
 
     crossing: Crossing = segments_cross(s1, s2)
     if crossing:

@@ -4,8 +4,9 @@ Subcommands: match, counterexample, classify, lemmas, experiment, svg.
 
 Exit codes: 0 success, 1 input/parse errors (including out-of-threshold
 construction parameters), 2 size-cap exceeded, 3 a guaranteed invariant
-failed on an exact run.  The MMP_TOL environment variable scales every
-tolerance band.
+failed on an exact run (for ``lemmas``: a positive run recorded a
+violation, or a negative control recorded none).  The MMP_TOL
+environment variable scales every tolerance band.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .docio import DocumentError, canonical_json, document_of, parse_document
 from .experiment import run_campaign
 from .geom import Point, Segment
 from .lemmas import LEMMA_CHECKERS, SamplerStarvationError, run_checker
-from .matching import Matching, SizeLimitError
+from .matching import Matching, SizeLimitError, max_sum_bruteforce
 from .piercing import STRETCH_BOUNDS
 from .report import analyze
 from .svgfig import render_svg
@@ -105,12 +106,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_INPUT)
     if ps.n_pairs != 3:
         return _fail(f"classification needs exactly 3 pairs, got {ps.n_pairs}", EXIT_INPUT)
-    try:
-        from .matching import max_sum_bruteforce
-
-        matching, _ = max_sum_bruteforce(ps)
-    except SizeLimitError as exc:  # cannot happen at 6 points, kept for symmetry
-        return _fail(str(exc), EXIT_SIZE)
+    matching, _ = max_sum_bruteforce(ps)
     segs = [Segment(a, b) for a, b in matching.segments(ps)]
     cls = classify_three(segs)
     payload = {
@@ -145,6 +141,9 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
     except SamplerStarvationError as exc:
         return _fail(f"sampler starvation: {exc}", EXIT_INPUT)
     _write_output(canonical_json(report.to_dict()), args.out)
+    # a control breaks the hypothesis, so it must record violations
+    if (report.violations > 0) != report.negative_control:
+        return EXIT_INVARIANT
     return EXIT_OK
 
 

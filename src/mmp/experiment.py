@@ -1,12 +1,12 @@
 """Randomized verification campaigns over brute-force max-sum matchings.
 
 Each campaign samples point sets uniformly from [-1, 1]^2, computes the
-exact max-sum matching, and checks every guarantee the theory provides
-at that size: the piercing verdict and witness stretch for uncolored
-sets, pairwise disk overlap and the vector inequality for colored sets,
-the midpoint-of-shortest-edge bounds for both, and the configuration
-dichotomy at three pairs.  Violation counts must be zero; observed
-empty intersections for colored sets are reported but are not failures.
+exact max-sum matching, and aggregates the per-instance guarantee checks
+of ``report.check_instance``: violation counts per check name (they must
+be zero), the largest witness and midpoint stretch, a histogram of the
+witness stretch, the 3-pair configuration labels, and how many instances
+had an empty disk intersection (for colored sets this is reported, not a
+failure).
 
 Reports are deterministic for a given seed (no timing fields) and
 serialize canonically.
@@ -14,29 +14,17 @@ serialize canonically.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 
 import numpy as np
 
-from .classify import EASY_LABELS, CaseLabel, WitnessConstructionError, classify_three, witness_easy_case
-from .geom import Disk, Segment, dist
 from .matching import PointSet, max_sum_bruteforce
-from .piercing import (
-    PairVerdict,
-    PiercingVerdict,
-    midpoint_shortest_edge,
-    pairwise_intersect,
-    pierce_disks,
-    stretch_report,
-)
-from .tolerances import pierce_tol
+from .piercing import PiercingVerdict
+from .report import check_instance
 
 __all__ = ["run_campaign", "CAMPAIGN_SCHEMA"]
 
 CAMPAIGN_SCHEMA = "mmp.campaign/1"
-
-SQRT2 = math.sqrt(2.0)
-SQRT5 = math.sqrt(5.0)
 
 # Fixed histogram bins for the witness stretch ratio (1 .. sqrt(2)).
 _HIST_BINS = 16
@@ -66,16 +54,13 @@ def run_campaign(
     for n in n_values:
         if n < 2:
             raise ValueError(f"campaign needs n >= 2, got {n}")
-        violations: dict[str, int] = {}
-        label_counts: dict[str, int] = {}
+        violations: Counter[str] = Counter()
+        label_counts: Counter[str] = Counter()
         fragile_count = 0
         empty_observed = 0
         max_witness_ratio = 0.0
         max_midpoint_ratio = 0.0
         hist = [0] * _HIST_BINS
-
-        def bump(key: str) -> None:
-            violations[key] = violations.get(key, 0) + 1
 
         for _ in range(trials):
             coords = rng.uniform(-1.0, 1.0, (2 * n, 2))
@@ -85,72 +70,20 @@ def run_campaign(
                 )
             else:
                 ps = PointSet.uncolored([tuple(p) for p in coords])
-            matching, _ = max_sum_bruteforce(ps)
-            pairs = matching.segments(ps)
-            disks = [Disk.diametral(a, b) for a, b in pairs]
-            scale = max(ps.scale(), max(d.radius for d in disks))
-            tol = pierce_tol(scale)
-
-            if colored:
-                for i in range(len(disks)):
-                    for j in range(i + 1, len(disks)):
-                        if pairwise_intersect(disks[i], disks[j]) is PairVerdict.DISJOINT:
-                            bump("pairwise_disjoint")
-                        (ai, aj) = matching.pairs[i]
-                        (bi, bj) = matching.pairs[j]
-                        a, ap = ps.points[ai], ps.points[aj]
-                        b, bp = ps.points[bi], ps.points[bj]
-                        lhs = math.hypot(
-                            (a.x + ap.x) - (b.x + bp.x), (a.y + ap.y) - (b.y + bp.y)
-                        )
-                        rhs = dist(a, ap) + dist(b, bp)
-                        if lhs > rhs + 1e-9 * (1.0 + rhs):
-                            bump("prop1_vector_inequality")
-                if n >= 3:
-                    result = pierce_disks(disks)
-                    if result.verdict is PiercingVerdict.EMPTY:
-                        empty_observed += 1
-            else:
-                result = pierce_disks(disks)
-                if result.verdict is PiercingVerdict.EMPTY or result.witness is None:
-                    bump("empty_intersection")
-                else:
-                    witness = result.witness
-                    worst = max(dist(witness, d.center) - d.radius for d in disks)
-                    if worst > tol:
-                        bump("witness_invalid")
-                    sr = stretch_report(pairs, witness, SQRT2)
-                    if sr.max_ratio is not None:
-                        max_witness_ratio = max(max_witness_ratio, sr.max_ratio)
-                        hist[_hist_index(sr.max_ratio)] += 1
-                        if sr.max_ratio > SQRT2 + 1e-9:
-                            bump("sqrt2_stretch")
-                    if not all(s.within_half_length for s in sr.pairs):
-                        bump("segment_distance_above_half_length")
-
-                if n == 3:
-                    segs = [Segment(a, b) for a, b in pairs]
-                    cls = classify_three(segs)
-                    label_counts[cls.label.value] = label_counts.get(cls.label.value, 0) + 1
-                    if cls.fragile:
-                        fragile_count += 1
-                    elif cls.label is CaseLabel.NOT_MAX_SUM:
-                        bump("dichotomy")
-                    elif cls.label in EASY_LABELS:
-                        try:
-                            witness_easy_case(segs, cls)
-                        except WitnessConstructionError:
-                            bump("easy_witness_failed")
-
-            mid = midpoint_shortest_edge(pairs)
-            sr5 = stretch_report(pairs, mid, SQRT5)
-            if sr5.max_ratio is not None:
-                max_midpoint_ratio = max(max_midpoint_ratio, sr5.max_ratio)
-            if not sr5.holds:
-                bump("sqrt5_midpoint")
-            sr25 = stretch_report(pairs, mid, 2.5)
-            if not sr25.holds:
-                bump("eppstein_midpoint")
+            ic = check_instance(ps, max_sum_bruteforce(ps)[0])
+            violations.update({c.name: c.violations for c in ic.checks if c.violations})
+            if ic.piercing.verdict is PiercingVerdict.EMPTY:
+                empty_observed += 1
+            ratios = {c.name: c.value for c in ic.checks}
+            witness_ratio = ratios.get("sqrt2_stretch")
+            if witness_ratio is not None:
+                max_witness_ratio = max(max_witness_ratio, witness_ratio)
+                hist[_hist_index(witness_ratio)] += 1
+            if ratios["sqrt5_midpoint"] is not None:
+                max_midpoint_ratio = max(max_midpoint_ratio, ratios["sqrt5_midpoint"])
+            if ic.case is not None:
+                label_counts[ic.case.label.value] += 1
+                fragile_count += int(ic.case.fragile)
 
         total_violations += sum(violations.values())
         per_n[str(n)] = {

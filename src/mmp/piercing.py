@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .geom import Disk, EllipseRegion, Point, Segment, dist, midpoint, point_segment_distance
-from .tolerances import pierce_tol
+from .tolerances import pierce_tol, ratio_tol
 
 __all__ = [
     "PiercingVerdict",
@@ -190,7 +190,7 @@ def _equal_depth_points(d1: Disk, d2: Disk, d3: Disk) -> list[Point]:
     rmin = min(r1, r2, r3)
     out = []
     for t in roots:
-        if t + rmin < -1e-9 * (1.0 + abs(rmin)):
+        if t + rmin < -pierce_tol(rmin):
             continue  # would need a negative distance
         out.append(Point(float(p[0] + q[0] * t), float(p[1] + q[1] * t)))
     return out
@@ -470,7 +470,8 @@ def stretch_report(
     Zero-length pairs have no ratio and are listed separately.  Each
     entry also records the distance from ``o`` to the pair's segment
     and whether it is at most half the pair length (the disk-membership
-    equivalent).
+    equivalent, within ``pierce_tol``); ``holds`` compares the ratio
+    with ``bound`` within the scale-free ``ratio_tol``.
     """
     scale = 0.0
     for a, b in pairs:
@@ -493,7 +494,7 @@ def stretch_report(
         stats.append(PairStretch(idx, length, ratio, seg_dist, within))
         if max_ratio is None or ratio > max_ratio:
             max_ratio = ratio
-    holds = max_ratio is None or max_ratio <= bound + tol
+    holds = max_ratio is None or max_ratio <= bound + ratio_tol()
     return StretchReport(o, bound, tuple(stats), max_ratio, holds, tuple(zeros))
 
 

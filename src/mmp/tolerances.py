@@ -1,10 +1,10 @@
 """Tolerance model shared by every predicate and solver.
 
 All geometric decisions are made in double precision with explicit
-tolerance bands that scale with the magnitude of the input coordinates.
-The global factor can be overridden through the ``MMP_TOL`` environment
-variable (a plain multiplier; ``MMP_TOL=10`` makes every band ten times
-wider).
+tolerance bands that scale with the magnitude of the input coordinates
+(``ratio_tol``, for dimensionless ratios, does not).  The global
+factor can be overridden through the ``MMP_TOL`` environment variable
+(a plain multiplier; ``MMP_TOL=10`` makes every band ten times wider).
 """
 
 from __future__ import annotations
@@ -60,6 +60,17 @@ def collinear_tol(scale: float) -> float:
 def pierce_tol(scale: float) -> float:
     """Depth band separating NonEmpty / Tangent / Empty piercing verdicts."""
     return 1e-9 * (1.0 + abs(scale)) * _factor
+
+
+def fragile_tol(scale: float) -> float:
+    """Decision margin below which a configuration label is fragile."""
+    return 1e-7 * (1.0 + abs(scale)) * _factor
+
+
+def ratio_tol() -> float:
+    """Band for dimensionless comparisons, such as a stretch ratio
+    against its bound; it does not depend on the coordinate scale."""
+    return 1e-9 * _factor
 
 
 def cost_tol(cost: float) -> float:

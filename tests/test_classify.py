@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mmp import tolerances
 from mmp.classify import (
     EASY_LABELS,
     CaseLabel,
@@ -56,6 +57,21 @@ class TestPairRelation:
         # head inside the triangle but outside the partner disk
         rel = pair_relation(seg((0, 0), (4, 0)), seg((2, 3), (2, 2.2)))
         assert rel.kind is PairRelationKind.CONVEX_DISJOINT
+
+    def test_fragile_band_follows_tolerance_factor(self):
+        # the head sits 5e-7 above the partner segment: outside the
+        # fragile band at factor 1, inside it at factor 10
+        s1, s2 = seg((0, 0), (2, 0)), seg((1, 1), (1, 5e-7))
+        rel = pair_relation(s1, s2)
+        assert rel.kind is PairRelationKind.SECOND_POINTS_TO_FIRST
+        assert not rel.fragile
+        previous = tolerances.set_tolerance_factor(10.0)
+        try:
+            rel = pair_relation(s1, s2)
+        finally:
+            tolerances.set_tolerance_factor(previous)
+        assert rel.kind is PairRelationKind.SECOND_POINTS_TO_FIRST
+        assert rel.fragile
 
 
 class TestPointInDiskLemma:

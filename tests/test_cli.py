@@ -97,6 +97,23 @@ class TestMatch:
         assert code == 3
         assert "invariant" in err
 
+    def test_dichotomy_failure_exit_3(self, capsys, monkeypatch):
+        import mmp.report as report_mod
+        from mmp.classify import CaseLabel, Classification, PairRelation, PairRelationKind
+
+        def fake_classify(segments):
+            rel = PairRelation(PairRelationKind.CONVEX_DISJOINT)
+            return Classification(CaseLabel.NOT_MAX_SUM, "not-max-sum-compatible", (rel,) * 3, False)
+
+        monkeypatch.setattr(report_mod, "classify_three", fake_classify)
+        doc = '{"points": [[0,0],[2,2],[0,2],[2,0],[1,-2],[1,4]]}'
+        code, out, err = run_cli(["match", "-i", "-"], capsys, stdin=doc, monkeypatch=monkeypatch)
+        assert code == 3
+        rep = json.loads(out)
+        assert "dichotomy" in rep["invariant_failures"]
+        assert rep["checks"]["dichotomy"]["violations"] == 1
+        assert "dichotomy" in err
+
 
 class TestCounterexample:
     def test_thm2_fixture(self, capsys, tmp_path):
@@ -161,6 +178,35 @@ class TestLemmasCmd:
         rep = json.loads(out)
         assert rep["lemma_id"] == "lemma1"
         assert rep["violations"] == 0
+
+    def test_positive_run_with_violation_exit_3(self, capsys, monkeypatch):
+        import dataclasses
+
+        real = cli.run_checker
+        monkeypatch.setattr(
+            cli, "run_checker", lambda *a, **k: dataclasses.replace(real(*a, **k), violations=1)
+        )
+        code = cli.main(["lemmas", "--lemma", "lemma1", "--trials", "20", "--seed", "3"])
+        out, _ = capsys.readouterr()
+        assert code == 3
+        assert json.loads(out)["violations"] == 1
+
+    def test_negative_control(self, capsys, monkeypatch):
+        import dataclasses
+
+        args = ["lemmas", "--lemma", "lemma1", "--trials", "200", "--seed", "3", "--negative-control"]
+        code = cli.main(args)
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert json.loads(out)["violations"] > 0
+
+        real = cli.run_checker
+        monkeypatch.setattr(
+            cli, "run_checker", lambda *a, **k: dataclasses.replace(real(*a, **k), violations=0)
+        )
+        code = cli.main(args)
+        capsys.readouterr()
+        assert code == 3
 
     def test_unknown_lemma(self, capsys):
         code = cli.main(["lemmas", "--lemma", "nope", "--trials", "5"])

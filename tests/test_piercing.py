@@ -272,6 +272,18 @@ class TestStretch:
         assert rep.pairs[0].ratio is None
         assert rep.max_ratio is not None
 
+    def test_holds_is_scale_free(self):
+        # ratio sqrt(2) + 5e-4 on the bisector of (-k, 0), (k, 0): the
+        # verdict must not flip when the instance is scaled by 2^20
+        y = math.sqrt((math.sqrt(2) + 5e-4) ** 2 - 1)
+        reps = [
+            stretch_report([(P(-k, 0), P(k, 0))], P(0, k * y), math.sqrt(2))
+            for k in (1.0, 2.0**20)
+        ]
+        assert reps[0].max_ratio == reps[1].max_ratio
+        assert not reps[0].holds
+        assert reps[1].holds == reps[0].holds
+
     def test_segment_distance_flag(self):
         rep = stretch_report([(P(0, 0), P(2, 0))], P(1, 0.9), math.sqrt(2))
         assert rep.pairs[0].within_half_length
