@@ -104,6 +104,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ps, name = parse_document(_read_input(args.input))
     except (OSError, DocumentError) as exc:
         return _fail(str(exc), EXIT_INPUT)
+    # the A..J premise (convex position contradicts maximality) holds
+    # only for uncolored matchings
+    if ps.colors is not None:
+        return _fail("classification applies to uncolored documents only", EXIT_INPUT)
     if ps.n_pairs != 3:
         return _fail(f"classification needs exactly 3 pairs, got {ps.n_pairs}", EXIT_INPUT)
     matching, _ = max_sum_bruteforce(ps)

@@ -95,7 +95,8 @@ def _parse_coords(raw: Any, label: str) -> list[tuple[float, float]]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise DocumentError(f"bad coordinate entry in '{label}': {entry!r}")
         x, y = entry
-        if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
+        # bool is an int subclass, but true/false are not coordinates
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (x, y)):
             raise DocumentError(f"non-numeric coordinate in '{label}': {entry!r}")
         x, y = float(x), float(y)
         if not (math.isfinite(x) and math.isfinite(y)):

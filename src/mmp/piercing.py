@@ -13,7 +13,8 @@ Minimizing f is an LP-type problem of combinatorial dimension 3
 (Matousek-Sharir-Welzl), so larger families run a violator loop whose
 bases of at most three disks go to that exact solver; the final basis
 is reported with the result and certifies an empty intersection.
-Ellipse families run a numeric subgradient minimax.
+Ellipse families run a central-cut ellipsoid loop that brackets the
+minimum of g between the best centre and a subgradient lower bound.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .geom import Disk, EllipseRegion, Point, Segment, dist, midpoint, point_segment_distance
 from .tolerances import pierce_tol, ratio_tol
@@ -277,34 +277,6 @@ def triple_intersect_exact(d1: Disk, d2: Disk, d3: Disk) -> PiercingResult:
     return _result(witness, depth, tol, 0)
 
 
-def _subgradient(
-    value_grad: Callable[[Point], tuple[float, float, float]],
-    x0: Point,
-    scale: float,
-    max_iter: int,
-) -> tuple[Point, float, int]:
-    """Minimize a convex max-function by subgradient steps with
-    geometric step decay, tracking the best iterate seen."""
-    x = x0
-    fx, gx, gy = value_grad(x)
-    best_x, best_f = x, fx
-    step = max(1.0 + scale, 1e-6)
-    floor = 1e-13 * (1.0 + scale)
-    beta = (floor / step) ** (1.0 / max(max_iter, 1))
-    move_tol = 1e-12 * (1.0 + scale)
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        x = Point(x.x - step * gx, x.y - step * gy)
-        fx, gx, gy = value_grad(x)
-        if fx < best_f:
-            best_f, best_x = fx, x
-        step *= beta
-        if step < move_tol:
-            break
-    return best_x, best_f, iterations
-
-
 def pierce_disks(disks: Sequence[Disk]) -> PiercingResult:
     """Witness point, verdict and basis for an arbitrary disk family.
 
@@ -365,80 +337,86 @@ def _ellipse_scale(regions: Sequence[EllipseRegion]) -> float:
     return s
 
 
-def ellipse_depth(x: Point, regions: Sequence[EllipseRegion]) -> float:
-    return max(
-        dist(x, e.focus_a) + dist(x, e.focus_b) - 2.0 * e.semimajor for e in regions
-    )
+# The central-cut loop stops once its depth bracket is this fraction of
+# the verdict band, so the band, not the solver, decides the verdict.
+_BRACKET_FRACTION = 1e-3
 
 
-def _ellipse_value_grad(
-    regions: Sequence[EllipseRegion],
-) -> Callable[[Point], tuple[float, float, float]]:
-    def eval_at(x: Point) -> tuple[float, float, float]:
-        best = -math.inf
-        bi = 0
-        for i, e in enumerate(regions):
-            v = dist(x, e.focus_a) + dist(x, e.focus_b) - 2.0 * e.semimajor
-            if v > best:
-                best = v
-                bi = i
-        e = regions[bi]
-        gx = gy = 0.0
-        for f in (e.focus_a, e.focus_b):
-            dx, dy = x.x - f.x, x.y - f.y
-            norm = math.hypot(dx, dy)
-            if norm > 0.0:
-                gx += dx / norm
-                gy += dy / norm
-        if gx == 0.0 and gy == 0.0:
-            gx = 1.0
-        return best, gx, gy
-
-    return eval_at
+def _ellipse_value_grad(x: Point, regions: Sequence[EllipseRegion]) -> tuple[float, float, float]:
+    """max_i (focal_sum_i(x) - 2 a_i) and one subgradient: the sum of
+    the active region's unit vectors from its foci (lowest index on
+    ties; a focus at ``x`` contributes zero)."""
+    best = -math.inf
+    bi = 0
+    for i, e in enumerate(regions):
+        v = dist(x, e.focus_a) + dist(x, e.focus_b) - 2.0 * e.semimajor
+        if v > best:
+            best = v
+            bi = i
+    e = regions[bi]
+    gx = gy = 0.0
+    for f in (e.focus_a, e.focus_b):
+        dx, dy = x.x - f.x, x.y - f.y
+        norm = math.hypot(dx, dy)
+        if norm > 0.0:
+            gx += dx / norm
+            gy += dy / norm
+    return best, gx, gy
 
 
-def pierce_ellipses(regions: Sequence[EllipseRegion], max_iter: int = 60000) -> PiercingResult:
-    """Common-point decision for ellipse regions (numeric minimax only).
+def pierce_ellipses(regions: Sequence[EllipseRegion]) -> PiercingResult:
+    """Common-point decision for ellipse regions.
 
     A single region is handled in closed form (any point of the focal
-    segment is deepest; the midpoint is reported).  Families run the
-    subgradient scheme followed by a derivative-free refinement.
+    segment is deepest; the midpoint is reported).  Families run a
+    central-cut ellipsoid loop on the depth g.  The localizing ellipse
+    ``{y : (y - c)^T P^-1 (y - c) <= 1}`` starts as the ball around
+    region 0's focal midpoint ``m`` with radius ``a_0 + g(m)/2``; region
+    0's confocal ellipse with that semimajor holds every point at least
+    as deep as ``m``.  Each cut evaluates g and a subgradient ``s`` at
+    the centre ``c``, keeps the centre of least depth as the witness
+    (the upper bound), raises the lower bound to ``g(c) - sqrt(s^T P s)``
+    and replaces the localizing ellipse by the smallest one holding its
+    half ``{(y - c) . s <= 0}``.  The loop stops when ``s^T P s`` is 0
+    (``c`` minimizes its active region's focal sum, hence g) or when the
+    bracket is at most ``_BRACKET_FRACTION * pierce_tol``.
+    ``iterations`` counts the cuts.
     """
     if not regions:
         raise ValueError("need at least one ellipse region")
     regions = list(regions)
     scale = _ellipse_scale(regions)
     tol = pierce_tol(scale)
+    e = regions[0]
+    center = midpoint(e.focus_a, e.focus_b)
     if len(regions) == 1:
-        e = regions[0]
-        witness = midpoint(e.focus_a, e.focus_b)
         depth = dist(e.focus_a, e.focus_b) - 2.0 * e.semimajor
-        return _result(witness, depth, tol, 0)
+        return _result(center, depth, tol, 0)
 
-    max_iter = min(max_iter, 1_000_000)
-    mids = [midpoint(e.focus_a, e.focus_b) for e in regions]
-    x0 = Point(sum(m.x for m in mids) / len(mids), sum(m.y for m in mids) / len(mids))
-    x, depth, iterations = _subgradient(_ellipse_value_grad(regions), x0, scale, max_iter)
-
-    def objective(v: np.ndarray) -> float:
-        return ellipse_depth(Point(float(v[0]), float(v[1])), regions)
-
-    res = _scipy_minimize(
-        objective,
-        np.array([x.x, x.y]),
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-14 * (1.0 + scale),
-            "fatol": 1e-15 * (1.0 + scale),
-            "maxiter": 4000,
-            "maxfev": 4000,
-        },
-    )
-    refined = Point(float(res.x[0]), float(res.x[1]))
-    refined_depth = ellipse_depth(refined, regions)
-    if refined_depth < depth:
-        x, depth = refined, refined_depth
-    return _result(x, depth, tol, iterations)
+    value, sx, sy = _ellipse_value_grad(center, regions)
+    radius = e.semimajor + 0.5 * value
+    p11, p12, p22 = radius * radius, 0.0, radius * radius
+    witness, upper, lower = center, value, -math.inf
+    cuts = 0
+    while True:
+        psx, psy = p11 * sx + p12 * sy, p12 * sx + p22 * sy
+        sps = sx * psx + sy * psy
+        if not sps > 0.0:
+            break  # c minimizes its active function (NaN stops too)
+        root = math.sqrt(sps)
+        lower = max(lower, value - root)
+        if upper - lower <= _BRACKET_FRACTION * tol:
+            break
+        bx, by = psx / root, psy / root
+        center = Point(center.x - bx / 3.0, center.y - by / 3.0)
+        p11 = 4.0 / 3.0 * (p11 - 2.0 / 3.0 * bx * bx)
+        p12 = 4.0 / 3.0 * (p12 - 2.0 / 3.0 * bx * by)
+        p22 = 4.0 / 3.0 * (p22 - 2.0 / 3.0 * by * by)
+        cuts += 1
+        value, sx, sy = _ellipse_value_grad(center, regions)
+        if value < upper:
+            witness, upper = center, value
+    return _result(witness, upper, tol, cuts)
 
 
 @dataclass(frozen=True)

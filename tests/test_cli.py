@@ -169,6 +169,14 @@ class TestClassify:
         )
         assert code == 1
 
+    def test_colored_input_rejected(self, capsys, monkeypatch):
+        # the A..J premise holds only for uncolored matchings
+        doc = canonical_json(document_of(theorem2_instance(0.02).point_set))
+        code, out, err = run_cli(["classify", "-i", "-"], capsys, stdin=doc, monkeypatch=monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert "uncolored" in err
+
 
 class TestLemmasCmd:
     def test_report_emitted(self, capsys):

@@ -69,6 +69,8 @@ class TestParse:
             '{"red": [[0, 0]]}',
             '{"points": [[0, 0], [Infinity, 0]]}',
             '{"points": [[0, 0], [1, 0]], "name": 7}',
+            '{"points": [[true, 0], [1, false]]}',
+            '{"red": [[false, 0]], "blue": [[1, 0]]}',
         ],
     )
     def test_rejects_malformed(self, text):

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmp
 from mmp.geom import Disk, EllipseRegion, Point, dist
 from mmp.matching import PointSet, max_sum_bruteforce
 from mmp.piercing import (
@@ -54,6 +59,35 @@ def assert_basis_certifies(disks, res):
     if res.verdict is PiercingVerdict.EMPTY:
         trio = sub + [sub[0]] * (3 - len(sub))
         assert triple_intersect_exact(*trio).verdict is PiercingVerdict.EMPTY
+
+
+def equilateral_pairs(side):
+    a, b, c = P(0, 0), P(side, 0), P(side / 2, side * SQRT3 / 2)
+    return [(a, b), (b, c), (c, a)]
+
+
+def random_regions(rng, n, circles=False):
+    regions = []
+    for _ in range(n):
+        a, b = P(*rng.uniform(-1, 1, 2)), P(*rng.uniform(-1, 1, 2))
+        if circles:
+            b = a
+        semimajor = 0.5 * dist(a, b) * float(rng.uniform(1.0, 1.6)) + float(rng.uniform(0.0, 0.3))
+        regions.append(EllipseRegion(a, b, semimajor))
+    return regions
+
+
+def ellipse_value(x, regions):
+    return max(dist(x, e.focus_a) + dist(x, e.focus_b) - 2.0 * e.semimajor for e in regions)
+
+
+def ellipse_tol(regions):
+    return pierce_tol(
+        max(
+            max(abs(e.focus_a.x), abs(e.focus_a.y), abs(e.focus_b.x), abs(e.focus_b.y), e.semimajor)
+            for e in regions
+        )
+    )
 
 
 class TestPairwise:
@@ -335,3 +369,86 @@ class TestPierceEllipses:
         regions = [EllipseRegion(a, b, 0.99 * dist(a, b) / SQRT3) for a, b in pairs]
         res = pierce_ellipses(regions)
         assert res.verdict is PiercingVerdict.EMPTY
+
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_equilateral_closed_form_depth(self, k):
+        # by symmetry the centroid is the minimizer, at focal sum
+        # 2 side / sqrt(3) for every region
+        side = 2.0**k
+        for factor, verdict in (
+            (0.9, PiercingVerdict.EMPTY),
+            (0.99, PiercingVerdict.EMPTY),
+            (1.0, PiercingVerdict.TANGENT),
+            (1.01, PiercingVerdict.NONEMPTY),
+            (1.1, PiercingVerdict.NONEMPTY),
+        ):
+            f = factor / SQRT3
+            regions = [EllipseRegion(a, b, f * side) for a, b in equilateral_pairs(side)]
+            res = pierce_ellipses(regions)
+            assert abs(res.depth - 2.0 * side * (1.0 / SQRT3 - f)) <= ellipse_tol(regions)
+            assert res.verdict is verdict
+
+    def test_invariance_permutation_and_scaling(self):
+        rng = np.random.default_rng(81)
+        families = [
+            [EllipseRegion(a, b, f * dist(a, b) / SQRT3) for a, b in equilateral_pairs(1.0)]
+            for f in (0.99, 1.0, 1.01)
+        ]
+        families += [random_regions(rng, int(rng.integers(2, 7))) for _ in range(20)]
+        for regions in families:
+            res = pierce_ellipses(regions)
+            perm = [int(i) for i in rng.permutation(len(regions))]
+            moved = pierce_ellipses([regions[i] for i in perm])
+            assert moved.verdict is res.verdict
+            assert abs(moved.depth - res.depth) <= ellipse_tol(regions)
+
+            k = int(rng.integers(-8, 9))
+            f = 2.0**k
+            scaled_regions = [
+                EllipseRegion(
+                    P(e.focus_a.x * f, e.focus_a.y * f),
+                    P(e.focus_b.x * f, e.focus_b.y * f),
+                    e.semimajor * f,
+                )
+                for e in regions
+            ]
+            scaled = pierce_ellipses(scaled_regions)
+            assert scaled.verdict is res.verdict
+            assert abs(scaled.depth - res.depth * f) <= ellipse_tol(scaled_regions)
+
+    def test_optimality_random_families(self):
+        # families include circles (coincident foci) and duplicates;
+        # growing every semimajor by d lowers the depth by 2 d everywhere
+        # and keeps the minimizers, so an EMPTY family is probed around
+        # the witness of its grown copy
+        rng = np.random.default_rng(82)
+        for trial in range(60):
+            regions = random_regions(rng, int(rng.integers(2, 8)), circles=trial % 3 == 1)
+            if trial % 3 == 2:
+                regions += regions[:2]  # duplicate regions
+            res = pierce_ellipses(regions)
+            assert res.iterations < 400
+            tol = ellipse_tol(regions)
+            witness = res.witness
+            if witness is None:
+                grow = res.depth
+                grown = pierce_ellipses(
+                    [EllipseRegion(e.focus_a, e.focus_b, e.semimajor + grow) for e in regions]
+                )
+                assert abs(grown.depth - (res.depth - 2.0 * grow)) <= tol
+                witness = grown.witness
+            assert ellipse_value(witness, regions) <= res.depth + tol
+            for radius in (1e-2, 1e-4, 1e-6, 1e-8):
+                for dx, dy in rng.normal(0.0, radius, (20, 2)):
+                    probe = P(witness.x + dx, witness.y + dy)
+                    assert ellipse_value(probe, regions) >= res.depth - tol
+
+
+def test_import_mmp_loads_no_scipy():
+    # scipy.optimize alone costs most of a second at import
+    src = str(Path(mmp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, mmp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
