@@ -29,9 +29,8 @@ from .matching import (
     PointSet,
     SizeLimitError,
     cost,
-    max_sum_2opt,
+    max_sum,
     max_sum_bruteforce,
-    verify_2opt_maximality,
 )
 from .piercing import (
     PairVerdict,

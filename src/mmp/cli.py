@@ -3,10 +3,11 @@
 Subcommands: match, counterexample, classify, lemmas, experiment, svg.
 
 Exit codes: 0 success, 1 input/parse errors (including out-of-threshold
-construction parameters), 2 size-cap exceeded, 3 a guaranteed invariant
-failed on an exact run (for ``lemmas``: a positive run recorded a
-violation, or a negative control recorded none).  The MMP_TOL
-environment variable scales every tolerance band.
+construction parameters and trial or pair counts out of range), 2 no
+certified exact optimum (an odd cycle sent more than 16 points to
+enumeration), 3 a guaranteed invariant failed (for ``lemmas``: a
+positive run recorded a violation, or a negative control recorded
+none).  The MMP_TOL environment variable scales every tolerance band.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .docio import DocumentError, canonical_json, document_of, parse_document
 from .experiment import run_campaign
 from .geom import Point, Segment
 from .lemmas import LEMMA_CHECKERS, SamplerStarvationError, run_checker
-from .matching import Matching, SizeLimitError, max_sum_bruteforce
+from .matching import Matching, SizeLimitError, max_sum
 from .piercing import STRETCH_BOUNDS
 from .report import analyze
 from .svgfig import render_svg
@@ -58,23 +59,21 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _report_exit(report: dict) -> int:
+    if not report["invariant_failures"]:
+        return EXIT_OK
+    print("invariant failures: " + "; ".join(report["invariant_failures"]), file=sys.stderr)
+    return EXIT_INVARIANT
+
+
 def cmd_match(args: argparse.Namespace) -> int:
     try:
         ps, name = parse_document(_read_input(args.input))
     except (OSError, DocumentError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    try:
-        report = analyze(ps, name=name, heuristic=args.heuristic, selected_bound=args.bound)
-    except SizeLimitError as exc:
-        return _fail(str(exc), EXIT_SIZE)
+    report = analyze(ps, name=name, selected_bound=args.bound)
     _write_output(canonical_json(report), args.out)
-    if report["invariant_failures"]:
-        print(
-            "invariant failures: " + "; ".join(report["invariant_failures"]),
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _report_exit(report)
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
@@ -92,11 +91,11 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
     doc = document_of(inst.point_set, name)
     _write_output(canonical_json(doc), args.out)
-    if args.report is not None:
-        heuristic = len(inst.point_set.points) > 8
-        report = analyze(inst.point_set, name=name, heuristic=heuristic)
-        _write_output(canonical_json(report), args.report)
-    return EXIT_OK
+    if args.report is None:
+        return EXIT_OK
+    report = analyze(inst.point_set, name=name)
+    _write_output(canonical_json(report), args.report)
+    return _report_exit(report)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -110,7 +109,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return _fail("classification applies to uncolored documents only", EXIT_INPUT)
     if ps.n_pairs != 3:
         return _fail(f"classification needs exactly 3 pairs, got {ps.n_pairs}", EXIT_INPUT)
-    matching, _ = max_sum_bruteforce(ps)
+    matching, _ = max_sum(ps)
     segs = [Segment(a, b) for a, b in matching.segments(ps)]
     cls = classify_three(segs)
     payload = {
@@ -136,6 +135,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        return _fail(f"--trials must be at least 1, got {args.trials}", EXIT_INPUT)
     try:
         report = run_checker(
             args.lemma, args.trials, args.seed, negative_control=args.negative_control
@@ -156,8 +157,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         n_values = [int(tok) for tok in args.n.split(",")]
     except ValueError:
         return _fail(f"bad --n value {args.n!r}; use e.g. 2,3,4", EXIT_INPUT)
-    if any(2 * n > 16 for n in n_values):
-        return _fail("campaign sizes above the brute-force cap (2n <= 16)", EXIT_SIZE)
+    if min(n_values) < 2:
+        return _fail(f"--n values must be at least 2, got {args.n!r}", EXIT_INPUT)
+    if args.trials < 1:
+        return _fail(f"--trials must be at least 1, got {args.trials}", EXIT_INPUT)
     report = run_campaign(n_values, args.trials, args.seed, colored=args.colored)
     _write_output(canonical_json(report), args.out)
     return EXIT_OK if report["total_violations"] == 0 else EXIT_INVARIANT
@@ -168,10 +171,7 @@ def cmd_svg(args: argparse.Namespace) -> int:
         ps, name = parse_document(_read_input(args.input))
     except (OSError, DocumentError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    try:
-        report = analyze(ps, name=name, heuristic=args.heuristic)
-    except SizeLimitError as exc:
-        return _fail(str(exc), EXIT_SIZE)
+    report = analyze(ps, name=name)
     matching = Matching.of(ps, [tuple(p) for p in report["matching"]["pairs"]])
     witness = None
     if report["piercing"]["witness"] is not None:
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="max-sum matching, piercing, and stretch report")
     p.add_argument("--input", "-i", required=True, help="point-set JSON file or '-'")
-    p.add_argument("--heuristic", action="store_true", help="2-opt heuristic beyond the cap")
     p.add_argument("--bound", choices=sorted(STRETCH_BOUNDS), default="sqrt2")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_match)
@@ -231,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svg", help="render an instance (matching, disks, witness) as SVG")
     p.add_argument("--input", "-i", required=True)
-    p.add_argument("--heuristic", action="store_true")
     p.add_argument("--ellipse-factor", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_svg)
@@ -243,7 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     set_tolerance_factor(None)  # honor MMP_TOL at invocation time
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SizeLimitError as exc:
+        return _fail(str(exc), EXIT_SIZE)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Parametric generators for the library's named fixture families.
 
-Each generator verifies its own guarantees at construction time (oracle
-optimality where enumeration is feasible, disk-emptiness of the named
-triple, threshold checks) and raises ``ConstructionError`` otherwise.
+Each generator verifies its own guarantees at construction time (the
+exact max-sum optimum, disk-emptiness of the named triple, threshold
+checks) and raises ``ConstructionError`` otherwise.
 
 Families
 --------
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .geom import Disk, Point, dist
-from .matching import Matching, PointSet, max_sum_2opt, max_sum_bruteforce, verify_2opt_maximality
+from .matching import Matching, PointSet, max_sum
 from .piercing import PiercingVerdict, triple_intersect_exact
 from .tolerances import cost_tol
 
@@ -103,10 +103,10 @@ def theorem2_instance(epsilon: float) -> CounterexampleInstance:
     ps = PointSet.colored([a, b, c], [a_p, b_p, c_p])
     claimed = Matching.of(ps, [(0, 3), (1, 4), (2, 5)])
 
-    optimum, unique = max_sum_bruteforce(ps)
+    optimum, unique = max_sum(ps)
     if optimum.pairs != claimed.pairs or not unique:
         raise ConstructionError(
-            f"self check failed: oracle optimum {optimum.pairs} "
+            f"self check failed: exact optimum {optimum.pairs} "
             f"(unique={unique}) != expected identity matching"
         )
     inst = CounterexampleInstance(ps, epsilon, 3, claimed, (0, 1, 2))
@@ -151,12 +151,7 @@ def theorem3_instance(n: int, epsilon: float | None = None) -> CounterexampleIns
 
     ps = PointSet.colored([a, b, c] + reds_fill, [a_p, b_p, c_p] + blues_fill)
 
-    if n <= 4:
-        claimed, _ = max_sum_bruteforce(ps)
-    else:
-        claimed = max_sum_2opt(ps)
-        if verify_2opt_maximality(ps, claimed):
-            raise ConstructionError("heuristic optimum is not 2-opt maximal")
+    claimed, _ = max_sum(ps)
     _check_cost_bounds(ps, n, epsilon)
 
     pair_of = {}
@@ -227,7 +222,7 @@ def singleton_disk_instance(a: Point, b: Point, c: Point, z: Point) -> PointSet:
         raise ConstructionError("z must lie strictly inside the triangle")
     ps = PointSet.uncolored([a, b, c, z, z, z])
     claimed = Matching.of(ps, [(0, 3), (1, 4), (2, 5)])
-    optimum, _ = max_sum_bruteforce(ps)
+    optimum, _ = max_sum(ps)
     if abs(optimum.cost - claimed.cost) > cost_tol(optimum.cost):
         raise ConstructionError("spoke matching is not max-sum")
     return ps

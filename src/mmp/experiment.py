@@ -1,4 +1,4 @@
-"""Randomized verification campaigns over brute-force max-sum matchings.
+"""Randomized verification campaigns over exact max-sum matchings.
 
 Each campaign samples point sets uniformly from [-1, 1]^2, computes the
 exact max-sum matching, and aggregates the per-instance guarantee checks
@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from .matching import PointSet, max_sum_bruteforce
+from .matching import PointSet, max_sum
 from .piercing import PiercingVerdict
 from .report import check_instance
 
@@ -70,7 +70,7 @@ def run_campaign(
                 )
             else:
                 ps = PointSet.uncolored([tuple(p) for p in coords])
-            ic = check_instance(ps, max_sum_bruteforce(ps)[0])
+            ic = check_instance(ps, max_sum(ps)[0])
             violations.update({c.name: c.violations for c in ic.checks if c.violations})
             if ic.piercing.verdict is PiercingVerdict.EMPTY:
                 empty_observed += 1

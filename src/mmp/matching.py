@@ -1,10 +1,11 @@
-"""Perfect matchings of planar point sets and the max-sum oracle.
+"""Perfect matchings of planar point sets and the exact max-sum solver.
 
-The brute-force enumerator is the ground truth everywhere: uncolored
-sets are enumerated over all (2n-1)!! pairings, colored (red/blue) sets
-over all n! bichromatic assignments.  A greedy + 2-opt local search is
-available for sizes beyond the enumeration cap but is always labeled as
-a heuristic.
+``max_sum`` is exact at every size: a shortest-augmenting-path
+assignment solver (Kuhn's Hungarian method) on the red x blue distance
+matrix, or, for an uncolored set, on the 2n x 2n matrix with a forbidden
+diagonal, the bipartite double cover of the degree LP (Edmonds 1965).
+An odd cycle in the cover optimum, seen only on tied inputs, falls back
+to the brute-force enumerator, which is otherwise the test oracle.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ __all__ = [
     "SizeLimitError",
     "cost",
     "iter_matchings",
+    "max_sum",
     "max_sum_bruteforce",
-    "max_sum_2opt",
-    "verify_2opt_maximality",
-    "TwoOptViolation",
     "BRUTE_FORCE_POINT_CAP",
 ]
 
@@ -182,175 +181,140 @@ def _iter_uncolored(indices: list[int]) -> Iterator[tuple[tuple[int, int], ...]]
             yield ((first, partner),) + tail
 
 
-def _check_cap(ps: PointSet) -> None:
-    if len(ps.points) > BRUTE_FORCE_POINT_CAP:
-        raise SizeLimitError(
-            f"{len(ps.points)} points exceed the exhaustive-enumeration cap "
-            f"of {BRUTE_FORCE_POINT_CAP}; use max_sum_2opt for a heuristic"
-        )
+def max_sum_bruteforce(ps: PointSet) -> tuple[Matching, bool]:
+    """Exact max-sum matching by exhaustive enumeration: the test oracle.
 
-
-def _enumerate_uncolored_best(points: Sequence[Point]) -> tuple[tuple[tuple[int, int], ...], float, float]:
-    """Exhaustive (2n-1)!! scan tracking the best and second-best costs.
-
-    Enumeration pairs the lowest free index with increasing partners, so
-    the first matching attaining the maximum is the lexicographically
-    smallest among exact ties.
+    Returns the optimal matching (the first in enumeration order, i.e.
+    the lexicographically smallest pair list, among exact ties) and
+    whether it is unique, i.e. no other matching comes within the cost
+    tie tolerance of the optimum.
     """
-    n = len(points)
-    dmat = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dmat[i][j] = dmat[j][i] = dist(points[i], points[j])
-    best = -math.inf
-    second = -math.inf
-    best_pairs: list[tuple[int, int]] = []
-    stack: list[tuple[int, int]] = []
-    used = [False] * n
-
-    def rec(acc: float, remaining: int) -> None:
-        nonlocal best, second
-        if remaining == 0:
-            if acc > best:
-                second = best
-                best = acc
-                best_pairs[:] = stack
-            elif acc > second:
-                second = acc
-            return
-        i = 0
-        while used[i]:
-            i += 1
-        used[i] = True
-        di = dmat[i]
-        for j in range(i + 1, n):
-            if used[j]:
-                continue
-            used[j] = True
-            stack.append((i, j))
-            rec(acc + di[j], remaining - 2)
-            stack.pop()
-            used[j] = False
-        used[i] = False
-
-    rec(0.0, n)
-    return tuple(best_pairs), best, second
-
-
-def _enumerate_colored_best(ps: PointSet) -> tuple[tuple[tuple[int, int], ...], float, float]:
-    """All n! bichromatic assignments, same tracking as the uncolored scan."""
-    reds = [i for i, c in enumerate(ps.colors) if c is Color.RED]
-    blues = [i for i, c in enumerate(ps.colors) if c is Color.BLUE]
-    points = ps.points
-    best = -math.inf
-    second = -math.inf
-    best_perm: tuple[int, ...] | None = None
-    for perm in itertools.permutations(blues):
-        c = 0.0
-        for r, b in zip(reds, perm):
-            c += dist(points[r], points[b])
+    if len(ps.points) > BRUTE_FORCE_POINT_CAP:
+        raise SizeLimitError(f"{len(ps.points)} points exceed the enumeration cap of {BRUTE_FORCE_POINT_CAP}")
+    best = second = -math.inf
+    for pairs in iter_matchings(ps):
+        c = _pair_cost(ps.points, pairs)
         if c > best:
-            second = best
-            best = c
-            best_perm = perm
+            best_pairs, best, second = pairs, c, best
         elif c > second:
             second = c
-    assert best_perm is not None
-    return canonical_pairs(zip(reds, best_perm)), best, second
+    return Matching(best_pairs, best), best - second > cost_tol(best)
 
 
-def max_sum_bruteforce(ps: PointSet) -> tuple[Matching, bool]:
-    """Exact max-sum matching by exhaustive enumeration.
+def _augment(a: list[list[float]], u: list[float], v: list[float], p: list[int], row: int) -> bool:
+    """Assign the free ``row`` along a shortest augmenting path.
 
-    Returns the optimal matching (lexicographically smallest pair list
-    among exact ties) and whether it is unique, i.e. no other matching
-    comes within the cost tie tolerance of the optimum.
+    Dijkstra over the reduced costs ``a[i][j] - u[i] - v[j]``, which the
+    potentials keep nonnegative on assigned rows; ``p[j]`` is the row of
+    column j (0 if free), and row and column 0 are the search root.  A
+    forbidden cell holds inf and is never relaxed.  Returns False when no
+    free column is reachable.
     """
-    _check_cap(ps)
-    if ps.colors is None:
-        pairs, best, second = _enumerate_uncolored_best(ps.points)
-    else:
-        pairs, best, second = _enumerate_colored_best(ps)
-    is_unique = (best - second) > cost_tol(best)
-    return Matching(canonical_pairs(pairs), best), is_unique
+    minv = [math.inf] * len(v)
+    way = [0] * len(v)
+    done, todo = [0], list(range(1, len(v)))
+    p[0], j0 = row, 0
+    while p[j0]:
+        ai, ui = a[p[j0]], u[p[j0]]
+        delta, j1 = math.inf, 0
+        for j in todo:
+            cur = ai[j] - ui - v[j]
+            if cur < minv[j]:
+                minv[j], way[j] = cur, j0
+            if minv[j] < delta:
+                delta, j1 = minv[j], j
+        if not j1:
+            return False
+        for j in done:
+            u[p[j]] += delta
+            v[j] -= delta
+        for j in todo:
+            minv[j] -= delta
+        todo.remove(j1)
+        done.append(j1)
+        j0 = j1
+    while j0:
+        p[j0] = p[way[j0]]
+        j0 = way[j0]
+    return True
 
 
-@dataclass(frozen=True)
-class TwoOptViolation:
-    """A pair of matched pairs admitting an improving rematch."""
+def _cells(p: list[int], colored: bool) -> list[tuple[int, int]] | None:
+    """The (row, column) cells of the matching in the assignment ``p``,
+    or None if the uncolored cover has an odd cycle.  An even cycle
+    contributes the alternate edges that start at its smallest index;
+    by optimality both halves weigh the same."""
+    col_of = [0] * len(p)
+    for j in range(1, len(p)):
+        col_of[p[j]] = j
+    if colored:
+        return [(i, col_of[i]) for i in range(1, len(p))]
+    cells, seen = [], [False] * len(p)
+    for start in range(1, len(p)):
+        cycle, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = col_of[k]
+        if len(cycle) % 2:
+            return None
+        cells += zip(cycle[::2], cycle[1::2])
+    return cells
 
-    pair_indices: tuple[int, int]
-    replacement: tuple[tuple[int, int], tuple[int, int]]
-    gain: float
+
+def _max_sum(ps: PointSet) -> tuple[Matching, bool, str]:
+    """``max_sum`` and its method: ``"assignment"``, or ``"bruteforce"``
+    after an odd cycle."""
+    colored = ps.colors is not None
+    rows = cols = list(range(len(ps.points)))
+    if colored:
+        rows = [i for i, c in enumerate(ps.colors) if c is Color.RED]
+        cols = [i for i, c in enumerate(ps.colors) if c is Color.BLUE]
+    a = [[0.0] * (len(cols) + 1)]
+    for r in rows:
+        a.append([0.0] + [math.inf if r == c else -dist(ps.points[r], ps.points[c]) for c in cols])
+    u, v, p = [0.0] * len(a), [0.0] * len(a), [0] * len(a)
+    for i in range(1, len(a)):
+        _augment(a, u, v, p, i)
+
+    def pairs_of(cells):
+        return canonical_pairs((rows[i - 1], cols[j - 1]) for i, j in cells)
+
+    cells = _cells(p, colored)
+    if cells is None:
+        return (*max_sum_bruteforce(ps), "bruteforce")
+    pairs = pairs_of(cells)
+    best = _pair_cost(ps.points, pairs)
+    # The runner-up avoids some optimal pair: forbid each in turn and
+    # re-augment only the freed rows from the optimal potentials.
+    second = -math.inf
+    for i, j in cells:
+        b, uu, vv, pp = list(a), list(u), list(v), list(p)
+        freed = []
+        for r, c in [(i, j)] if colored else [(i, j), (j, i)]:
+            b[r] = list(b[r])
+            b[r][c] = math.inf
+            if pp[c] == r:
+                pp[c] = 0
+                freed.append(r)
+        if not all(_augment(b, uu, vv, pp, r) for r in freed):
+            continue  # every perfect matching uses this pair
+        alt = _cells(pp, colored)
+        if alt is not None:
+            second = max(second, _pair_cost(ps.points, pairs_of(alt)))
+        elif best + 0.5 * sum(b[pp[c]][c] for c in range(1, len(pp))) <= cost_tol(best):
+            # an odd cycle, whose half weight only bounds the runner-up
+            return (*max_sum_bruteforce(ps), "bruteforce")
+    return Matching(pairs, best), best - second > cost_tol(best), "assignment"
 
 
-def _rematch_options(
-    ps: PointSet, a: tuple[int, int], b: tuple[int, int]
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    (i, j), (k, l) = a, b
-    options = []
-    for p1, p2 in (((i, k), (j, l)), ((i, l), (j, k))):
-        if ps.colors is not None and (
-            ps.colors[p1[0]] is ps.colors[p1[1]] or ps.colors[p2[0]] is ps.colors[p2[1]]
-        ):
-            continue
-        options.append((p1, p2))
-    return options
+def max_sum(ps: PointSet) -> tuple[Matching, bool]:
+    """Exact max-sum matching at every size.
 
-
-def verify_2opt_maximality(ps: PointSet, m: Matching) -> list[TwoOptViolation]:
-    """All pairwise rematches that would increase the total cost.
-
-    An empty list is a necessary (not sufficient) condition for the
-    matching to be max-sum.
+    Returns the optimal matching and whether it is unique, i.e. no other
+    matching comes within the cost tie tolerance of the optimum; among
+    exact ties, the solver's deterministic choice.  Raises
+    ``SizeLimitError`` only when an odd cycle sends more than
+    ``BRUTE_FORCE_POINT_CAP`` points to enumeration.
     """
-    _validate_pairs(ps, m.pairs)
-    pts = ps.points
-    tol = cost_tol(m.cost)
-    violations = []
-    for a in range(len(m.pairs)):
-        for b in range(a + 1, len(m.pairs)):
-            (i, j), (k, l) = m.pairs[a], m.pairs[b]
-            current = dist(pts[i], pts[j]) + dist(pts[k], pts[l])
-            for p1, p2 in _rematch_options(ps, m.pairs[a], m.pairs[b]):
-                candidate = dist(pts[p1[0]], pts[p1[1]]) + dist(pts[p2[0]], pts[p2[1]])
-                gain = candidate - current
-                if gain > tol:
-                    violations.append(TwoOptViolation((a, b), (p1, p2), gain))
-    return violations
-
-
-def max_sum_2opt(ps: PointSet) -> Matching:
-    """Greedy longest-pair start followed by 2-opt ascent.
-
-    Heuristic: the result is 2-opt maximal but carries no optimality
-    guarantee.  Deterministic for a given input.
-    """
-    pts = ps.points
-    n = len(pts)
-    candidates = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ps.colors is not None and ps.colors[i] is ps.colors[j]:
-                continue
-            candidates.append((-dist(pts[i], pts[j]), i, j))
-    candidates.sort()
-
-    used: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for _, i, j in candidates:
-        if i in used or j in used:
-            continue
-        pairs.append((i, j))
-        used.update((i, j))
-
-    matching = Matching.of(ps, pairs)
-    while True:
-        violations = verify_2opt_maximality(ps, matching)
-        if not violations:
-            return matching
-        worst = max(violations, key=lambda v: v.gain)
-        a, b = worst.pair_indices
-        new_pairs = [p for idx, p in enumerate(matching.pairs) if idx not in (a, b)]
-        new_pairs.extend(worst.replacement)
-        matching = Matching.of(ps, new_pairs)
+    return _max_sum(ps)[:2]

@@ -5,8 +5,7 @@ applies to a matched instance (the README lists them); ``analyze`` and
 the campaigns both read them.  Lengths are compared within
 ``pierce_tol`` at the instance scale, ratios within ``ratio_tol``.  The
 report serializes canonically and is bit-for-bit reproducible apart from
-``timing_ms``; ``invariant_failures`` names the failing checks of an
-exact run.
+``timing_ms``; ``invariant_failures`` names the failing checks.
 """
 
 from __future__ import annotations
@@ -19,14 +18,14 @@ from .classify import EASY_LABELS, CaseLabel, Classification, WitnessConstructio
 from .classify import classify_three, witness_easy_case
 from .docio import input_digest
 from .geom import Disk, Point, Segment, dist
-from .matching import Matching, PointSet, max_sum_2opt, max_sum_bruteforce
+from .matching import Matching, PointSet, _max_sum
 from .piercing import STRETCH_BOUNDS, PairVerdict, PiercingResult, PiercingVerdict, StretchReport
 from .piercing import midpoint_shortest_edge, pairwise_intersect, pierce_disks, stretch_report
 from .tolerances import pierce_tol, ratio_tol
 
 __all__ = ["RUN_REPORT_SCHEMA", "Check", "InstanceCheck", "check_instance", "analyze"]
 
-RUN_REPORT_SCHEMA = "mmp.run_report/3"
+RUN_REPORT_SCHEMA = "mmp.run_report/4"
 
 
 @dataclass(frozen=True)
@@ -137,21 +136,10 @@ def _stretch_block(sr: StretchReport) -> dict:
     }
 
 
-def analyze(
-    ps: PointSet,
-    name: str | None = None,
-    heuristic: bool = False,
-    selected_bound: str = "sqrt2",
-) -> dict:
+def analyze(ps: PointSet, name: str | None = None, selected_bound: str = "sqrt2") -> dict:
     """Full pipeline on one point set; returns the run-report dict."""
     t0 = time.perf_counter()
-    if heuristic:
-        matching = max_sum_2opt(ps)
-        is_unique = None
-        method = "2opt-heuristic"
-    else:
-        matching, is_unique = max_sum_bruteforce(ps)
-        method = "bruteforce"
+    matching, is_unique, method = _max_sum(ps)
     ic = check_instance(ps, matching)
 
     stretch = {"at_shortest_midpoint": _stretch_block(ic.at_midpoint)}
@@ -199,7 +187,6 @@ def analyze(
             c.name: {"value": c.value, "bound": c.bound, "tol": c.tol, "violations": c.violations}
             for c in ic.checks
         },
-        # a heuristic matching need not be max-sum, so no guarantee applies
-        "invariant_failures": [] if heuristic else [c.name for c in ic.checks if c.violations],
+        "invariant_failures": [c.name for c in ic.checks if c.violations],
         "timing_ms": (time.perf_counter() - t0) * 1000.0,
     }

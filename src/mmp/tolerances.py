@@ -2,9 +2,10 @@
 
 All geometric decisions are made in double precision with explicit
 tolerance bands that scale with the magnitude of the input coordinates
-(``ratio_tol``, for dimensionless ratios, does not).  The global
-factor can be overridden through the ``MMP_TOL`` environment variable
-(a plain multiplier; ``MMP_TOL=10`` makes every band ten times wider).
+(``ratio_tol``, for dimensionless ratios, does not; ``cost_tol`` is
+relative to the cost).  The global factor can be overridden through the
+``MMP_TOL`` environment variable (a plain multiplier; ``MMP_TOL=10``
+makes every band ten times wider).
 """
 
 from __future__ import annotations
@@ -74,5 +75,6 @@ def ratio_tol() -> float:
 
 
 def cost_tol(cost: float) -> float:
-    """Tie tolerance for matching costs (uniqueness and 2-opt gains)."""
-    return 1e-9 * (1.0 + abs(cost)) * _factor
+    """Tie tolerance for matching costs (the gap that makes an optimum
+    unique); relative, so a rescaling never changes a tie decision."""
+    return 1e-9 * abs(cost) * _factor

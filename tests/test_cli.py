@@ -43,24 +43,28 @@ class TestMatch:
         assert "error" in err
 
     def test_size_cap_exit_2(self, capsys, monkeypatch):
-        doc = {"points": [[float(i), 0.0] for i in range(18)]}
-        code, _, err = run_cli(
+        # six copies of each triangle vertex: the cover optimum has odd
+        # cycles, and 18 points are too many to enumerate
+        tri = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]]
+        doc = {"points": [p for p in tri for _ in range(6)]}
+        code, out, err = run_cli(
             ["match", "-i", "-"], capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch
         )
         assert code == 2
+        assert out == "" and "error" in err
 
-    def test_heuristic_beyond_cap(self, capsys, monkeypatch):
-        doc = {"points": [[float(i % 5), float(i // 5)] for i in range(20)]}
-        code, out, _ = run_cli(
-            ["match", "-i", "-", "--heuristic"],
-            capsys,
-            stdin=json.dumps(doc),
-            monkeypatch=monkeypatch,
-        )
-        assert code == 0
-        rep = json.loads(out)
-        assert rep["matching"]["method"] == "2opt-heuristic"
-        assert rep["matching"]["is_unique"] is None
+    def test_exact_beyond_old_cap(self, capsys, monkeypatch):
+        # 18 collinear and 20 grid points: many ties, no odd cycle
+        for doc in (
+            {"points": [[float(i), 0.0] for i in range(18)]},
+            {"points": [[float(i % 5), float(i // 5)] for i in range(20)]},
+        ):
+            code, out, _ = run_cli(["match", "-i", "-"], capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+            assert code == 0
+            rep = json.loads(out)
+            assert rep["matching"]["method"] == "assignment"
+            assert rep["matching"]["is_unique"] is False
+            assert rep["invariant_failures"] == []
 
     def test_equilateral_fixture(self, capsys, monkeypatch):
         from mmp.constructions import equilateral_tightness
@@ -145,6 +149,31 @@ class TestCounterexample:
         assert code == 1
         assert "epsilon" in err
 
+    def test_thm3_report_is_exact(self, capsys, tmp_path):
+        rep_file = tmp_path / "r.json"
+        code = cli.main(["counterexample", "thm3", "--n", "9", "--out", str(tmp_path / "d.json"),
+                         "--report", str(rep_file)])
+        capsys.readouterr()
+        assert code == 0
+        rep = json.loads(rep_file.read_text())
+        assert rep["matching"]["method"] == "assignment"
+        assert isinstance(rep["matching"]["is_unique"], bool)
+        assert rep["piercing"]["verdict"] == "empty"
+
+    def test_report_failure_exit_3(self, capsys, monkeypatch, tmp_path):
+        import mmp.report as report_mod
+        from mmp.piercing import PairVerdict
+
+        monkeypatch.setattr(report_mod, "pairwise_intersect", lambda d1, d2: PairVerdict.DISJOINT)
+        rep_file = tmp_path / "r.json"
+        code = cli.main(["counterexample", "thm2", "--out", str(tmp_path / "d.json"), "--report", str(rep_file)])
+        _, err = capsys.readouterr()
+        assert code == 3
+        rep = json.loads(rep_file.read_text())
+        assert "pairwise_disjoint" in rep["invariant_failures"]
+        assert rep["checks"]["pairwise_disjoint"]["violations"] == 3
+        assert "pairwise_disjoint" in err
+
     def test_thm3_fixture(self, capsys):
         code = cli.main(["counterexample", "thm3", "--n", "5"])
         out, _ = capsys.readouterr()
@@ -221,6 +250,13 @@ class TestLemmasCmd:
         _, err = capsys.readouterr()
         assert code == 1
 
+    def test_trials_below_one_rejected(self, capsys):
+        for trials in ("0", "-3"):
+            code = cli.main(["lemmas", "--lemma", "lemma1", "--trials", trials])
+            out, err = capsys.readouterr()
+            assert code == 1
+            assert out == "" and err.startswith("error:") and "--trials" in err
+
 
 class TestExperimentCmd:
     def test_small_campaign(self, capsys):
@@ -231,10 +267,25 @@ class TestExperimentCmd:
         assert rep["total_violations"] == 0
         assert rep["per_n"]["3"]["trials"] == 20
 
-    def test_over_cap(self, capsys):
-        code = cli.main(["experiment", "--n", "9", "--trials", "1"])
-        capsys.readouterr()
-        assert code == 2
+    def test_beyond_old_cap_is_exact(self, capsys):
+        code = cli.main(["experiment", "--n", "9,12", "--trials", "2", "--seed", "3"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["total_violations"] == 0
+        assert rep["per_n"]["12"]["trials"] == 2
+
+    def test_n_below_two_rejected(self, capsys):
+        code = cli.main(["experiment", "--n", "2,1", "--trials", "5"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "" and err.startswith("error:") and "--n" in err
+
+    def test_trials_below_one_rejected(self, capsys):
+        code = cli.main(["experiment", "--n", "2", "--trials", "-2"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "" and err.startswith("error:") and "--trials" in err
 
 
 class TestSvg:

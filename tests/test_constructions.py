@@ -13,6 +13,7 @@ from mmp.constructions import (
 )
 from mmp.geom import Disk, Point, dist
 from mmp.matching import Matching, max_sum_bruteforce
+from mmp.tolerances import cost_tol
 from mmp.piercing import (
     PairVerdict,
     PiercingVerdict,
@@ -157,6 +158,27 @@ class TestManyPairFamily:
             rest.remove(b_partner)
             m2 = Matching.of(ps, [(0, 6), (1, b_partner), (2, rest[0]), (3, rest[1])])
             assert m2.cost <= upper + 1e-9
+
+    def test_exact_optimum_for_larger_n(self, monkeypatch):
+        # n = 5..10 comes from the assignment solver, never enumeration,
+        # and matches an independent blossom solver
+        nx = pytest.importorskip("networkx")
+        import mmp.matching as matching_mod
+
+        def no_enumeration(ps):
+            raise AssertionError("fell back to enumeration")
+
+        monkeypatch.setattr(matching_mod, "max_sum_bruteforce", no_enumeration)
+        for n in range(5, 11):
+            inst = theorem3_instance(n)
+            pts = inst.point_set.points
+            g = nx.Graph()
+            for i in range(n):
+                for j in range(n, 2 * n):
+                    g.add_edge(i, j, weight=dist(pts[i], pts[j]))
+            ref = math.fsum(dist(pts[i], pts[j]) for i, j in nx.max_weight_matching(g, maxcardinality=True))
+            assert abs(inst.claimed_optimum.cost - ref) <= cost_tol(ref)
+            assert inst.claimed_optimum == matching_mod.max_sum(inst.point_set)[0]
 
     def test_larger_n_self_checks(self):
         inst = theorem3_instance(6)

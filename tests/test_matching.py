@@ -1,26 +1,51 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mmp.geom import Point
+from mmp.constructions import named_fixtures
+from mmp.geom import Point, dist
 from mmp.matching import (
     Matching,
     MatchingError,
     PointSet,
     SizeLimitError,
+    _max_sum,
     cost,
     iter_matchings,
-    max_sum_2opt,
+    max_sum,
     max_sum_bruteforce,
-    verify_2opt_maximality,
 )
+from mmp.tolerances import cost_tol
 
 SQRT3 = math.sqrt(3.0)
 
 
 def uncolored(*pts):
     return PointSet.uncolored(pts)
+
+
+def random_set(rng, n, colored):
+    pts = [tuple(p) for p in rng.uniform(-1, 1, (2 * n, 2))]
+    return PointSet.colored(pts[:n], pts[n:]) if colored else PointSet.uncolored(pts)
+
+
+def two_opt_gains(ps, m):
+    """Gains above the tie tolerance of every rematch of two pairs of
+    ``m``; an optimum has none."""
+    pts = ps.points
+    gains = []
+    for (i, j), (k, l) in itertools.combinations(m.pairs, 2):
+        current = dist(pts[i], pts[j]) + dist(pts[k], pts[l])
+        for (a, b), (c, d) in (((i, k), (j, l)), ((i, l), (j, k))):
+            # in a colored set both new pairs are bichromatic or neither is
+            if ps.colors is not None and ps.colors[a] is ps.colors[b]:
+                continue
+            gain = dist(pts[a], pts[b]) + dist(pts[c], pts[d]) - current
+            if gain > cost_tol(m.cost):
+                gains.append(gain)
+    return gains
 
 
 class TestCost:
@@ -120,21 +145,28 @@ class TestBruteForce:
 
 
 class TestTwoOpt:
+    """No rematch of two pairs improves an optimum: a necessary condition
+    checked independently of either solver."""
+
     def test_optimum_has_no_violations(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             pts = rng.uniform(-1, 1, (8, 2))
             ps = PointSet.uncolored([tuple(p) for p in pts])
             m, _ = max_sum_bruteforce(ps)
-            assert verify_2opt_maximality(ps, m) == []
+            assert two_opt_gains(ps, m) == []
+        for colored in (False, True):
+            for _ in range(3):
+                ps = random_set(rng, 20, colored)
+                assert two_opt_gains(ps, max_sum(ps)[0]) == []
 
     def test_square_sides_violation(self):
         # sides cost 2; the diagonal rematch costs 2*sqrt(2)
         ps = PointSet.colored([(1, 0), (1, 1)], [(0, 0), (0, 1)])
         m = Matching.of(ps, [(0, 2), (1, 3)])
-        violations = verify_2opt_maximality(ps, m)
-        assert len(violations) == 1
-        assert violations[0].gain == pytest.approx(2 * math.sqrt(2) - 2, abs=1e-12)
+        gains = two_opt_gains(ps, m)
+        assert len(gains) == 1
+        assert gains[0] == pytest.approx(2 * math.sqrt(2) - 2, abs=1e-12)
 
     def test_rotated_family_matching_violates(self):
         eps = 0.02
@@ -147,28 +179,135 @@ class TestTwoOpt:
             ],
         )
         rotated = Matching.of(ps, [(0, 4), (1, 5), (2, 3)])
-        assert verify_2opt_maximality(ps, rotated) != []
+        assert two_opt_gains(ps, rotated) != []
 
-    def test_heuristic_reaches_optimum_on_small_sets(self):
-        rng = np.random.default_rng(17)
-        hits = 0
-        for _ in range(20):
-            pts = rng.uniform(-1, 1, (6, 2))
-            ps = PointSet.uncolored([tuple(p) for p in pts])
-            exact, _ = max_sum_bruteforce(ps)
-            approx = max_sum_2opt(ps)
-            assert verify_2opt_maximality(ps, approx) == []
-            assert approx.cost <= exact.cost + 1e-9
-            if abs(approx.cost - exact.cost) < 1e-9:
-                hits += 1
-        assert hits >= 15  # 2-opt from greedy is usually optimal at this size
 
-    def test_heuristic_beyond_cap(self):
-        rng = np.random.default_rng(21)
-        pts = rng.uniform(-1, 1, (20, 2))
-        ps = PointSet.uncolored([tuple(p) for p in pts])
-        m = max_sum_2opt(ps)
-        assert verify_2opt_maximality(ps, m) == []
+def _polygon_and_center(m):
+    return PointSet.uncolored(
+        [(math.cos(2 * math.pi * k / m), math.sin(2 * math.pi * k / m)) for k in range(m)] + [(0.0, 0.0)]
+    )
+
+
+_rng = np.random.default_rng(43)
+_base = [tuple(p) for p in _rng.uniform(-1, 1, (4, 2))]
+_red = [tuple(p) for p in _rng.uniform(-1, 1, (3, 2))]
+TIED = {
+    "equilateral": named_fixtures()["equilateral"],
+    "singleton": named_fixtures()["singleton"],
+    "duplicates": PointSet.uncolored(_base + _base),
+    "duplicates-colored": PointSet.colored(_red, _red),
+    "coincident-colored": PointSet.colored([(0.0, 0.0)] * 3, [(1.0, 0.0)] * 3),
+    "collinear": PointSet.uncolored([(t / 8.0, 0.5 * t / 8.0 + 0.25) for t in (-13, -7, -2, 0, 3, 5, 11, 16)]),
+    "polygon5+center": _polygon_and_center(5),
+    "polygon7+center": _polygon_and_center(7),
+}
+
+
+class TestMaxSum:
+    @pytest.mark.parametrize("colored", [False, True], ids=["uncolored", "colored"])
+    def test_matches_bruteforce(self, colored):
+        rng = np.random.default_rng(41 + colored)
+        for n in range(1, 7):
+            for _ in range(12):
+                ps = random_set(rng, n, colored)
+                m, unique, method = _max_sum(ps)
+                ref, ref_unique = max_sum_bruteforce(ps)
+                assert method == "assignment"
+                assert m.pairs == ref.pairs
+                assert m.cost == ref.cost
+                assert unique == ref_unique
+
+    @pytest.mark.parametrize("name", sorted(TIED))
+    def test_tied_inputs(self, name):
+        ps = TIED[name]
+        m, unique = max_sum(ps)
+        ref, ref_unique = max_sum_bruteforce(ps)
+        assert abs(m.cost - ref.cost) <= cost_tol(ref.cost)
+        assert cost(ps, m) == m.cost
+        assert unique == ref_unique
+
+    def test_odd_cycle_falls_back_to_enumeration(self):
+        # the doubled triangle's cover optimum is two 3-cycles
+        _, unique, method = _max_sum(TIED["equilateral"])
+        assert method == "bruteforce" and not unique
+        # an integral optimum, but forbidding one of its pairs leaves a
+        # cover optimum with an odd cycle as heavy as the optimum itself
+        ps = PointSet.uncolored([(0.0, 0.0), (1.0, 0.0)] + [(0.5, SQRT3 / 2)] * 4)
+        m, unique, method = _max_sum(ps)
+        ref, ref_unique = max_sum_bruteforce(ps)
+        assert method == "bruteforce"
+        assert (m, unique) == (ref, ref_unique)
+        tripled = PointSet.uncolored([p for p in TIED["equilateral"].points for _ in range(3)])
+        with pytest.raises(SizeLimitError):
+            max_sum(tripled)
+
+    @pytest.mark.parametrize("n", [10, 25, 50])
+    def test_uncolored_cost_matches_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        ps = random_set(np.random.default_rng(n), n, False)
+        m, _ = max_sum(ps)
+        g = nx.Graph()
+        for i, j in itertools.combinations(range(2 * n), 2):
+            g.add_edge(i, j, weight=dist(ps.points[i], ps.points[j]))
+        ref_pairs = nx.max_weight_matching(g, maxcardinality=True)
+        ref = math.fsum(dist(ps.points[i], ps.points[j]) for i, j in ref_pairs)
+        assert len(ref_pairs) == n
+        assert abs(m.cost - ref) <= cost_tol(ref)
+        assert cost(ps, m) == m.cost
+
+
+def _metamorphic_cases():
+    rng = np.random.default_rng(61)
+    return [random_set(rng, n, colored) for n in range(2, 7) for colored in (False, True) for _ in range(4)]
+
+
+def _moved(ps, f):
+    return PointSet(tuple(Point(*f(p.x, p.y)) for p in ps.points), ps.colors)
+
+
+class TestMaxSumMetamorphic:
+    """Transforms exact in floating point relabel the optimum, scale its
+    cost exactly and keep ``is_unique``."""
+
+    def test_scaling_by_powers_of_two(self):
+        for ps in _metamorphic_cases():
+            m, unique = max_sum(ps)
+            for k in range(-20, 21):
+                s = 2.0**k
+                m2, unique2 = max_sum(_moved(ps, lambda x, y: (s * x, s * y)))
+                assert (m2.pairs, m2.cost, unique2) == (m.pairs, s * m.cost, unique)
+
+    def test_rotation_by_90_degrees(self):
+        for ps in _metamorphic_cases():
+            m, unique = max_sum(ps)
+            m2, unique2 = max_sum(_moved(ps, lambda x, y: (-y, x)))
+            assert (m2.pairs, m2.cost, unique2) == (m.pairs, m.cost, unique)
+
+    def test_point_permutation(self):
+        rng = np.random.default_rng(62)
+        for ps in _metamorphic_cases():
+            perm = [int(k) for k in rng.permutation(len(ps.points))]  # point i moves to perm[i]
+            inverse = sorted(range(len(perm)), key=perm.__getitem__)
+            colors = None if ps.colors is None else tuple(ps.colors[i] for i in inverse)
+            moved = PointSet(tuple(ps.points[i] for i in inverse), colors)
+            self._same_up_to_relabeling(ps, moved, perm)
+
+    def test_red_blue_swap(self):
+        for ps in _metamorphic_cases():
+            if ps.colors is not None:
+                n = ps.n_pairs
+                swapped = PointSet.colored(ps.points[n:], ps.points[:n])
+                self._same_up_to_relabeling(ps, swapped, [(i + n) % (2 * n) for i in range(2 * n)])
+
+    @staticmethod
+    def _same_up_to_relabeling(ps, moved, label):
+        m, unique = max_sum(ps)
+        m2, unique2 = max_sum(moved)
+        assert unique2 == unique
+        if unique:
+            assert m2.pairs == Matching.of(moved, [(label[i], label[j]) for i, j in m.pairs]).pairs
+        # the cost is summed in label order, so it agrees only to rounding
+        assert m2.cost == pytest.approx(m.cost, rel=1e-14, abs=0)
 
 
 class TestExtensionInvariant:

@@ -449,6 +449,9 @@ def test_import_mmp_loads_no_scipy():
     src = str(Path(mmp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, mmp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, mmp; mmp.max_sum(mmp.PointSet.uncolored([(0, 0), (1, 0), (0, 1), (1, 1)]));"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -2,7 +2,7 @@ import pytest
 
 import mmp.report as report_mod
 from mmp.constructions import named_fixtures, theorem2_instance
-from mmp.matching import PointSet, max_sum_bruteforce
+from mmp.matching import PointSet, max_sum, max_sum_bruteforce
 from mmp.piercing import PiercingResult, PiercingVerdict
 from mmp.report import RUN_REPORT_SCHEMA, analyze, check_instance
 
@@ -61,7 +61,7 @@ class TestAnalyze:
     def test_named_fixtures_have_no_failures(self, name):
         ps = named_fixtures()[name]
         rep = analyze(ps, name=name)
-        assert rep["schema"] == RUN_REPORT_SCHEMA == "mmp.run_report/3"
+        assert rep["schema"] == RUN_REPORT_SCHEMA == "mmp.run_report/4"
         assert rep["invariant_failures"] == []
         assert set(rep["checks"]) == {c.name for c in checked(ps).checks}
         assert (rep["case"] is None) == (ps.is_colored or ps.n_pairs != 3)
@@ -75,11 +75,14 @@ class TestAnalyze:
         assert rep["invariant_failures"] == ["empty_intersection"]
         assert "at_witness" not in rep["stretch"]
 
-    def test_heuristic_run_reports_checks_without_failures(self, monkeypatch):
-        def fake_pierce(disks):
-            return PiercingResult(verdict=PiercingVerdict.EMPTY, witness=None, depth=1.0)
-
-        monkeypatch.setattr(report_mod, "pierce_disks", fake_pierce)
-        rep = analyze(SIX, heuristic=True)
-        assert rep["checks"]["empty_intersection"]["violations"] == 1
-        assert rep["invariant_failures"] == []
+    def test_method_names_the_exact_solver(self):
+        rep = analyze(SIX)
+        assert rep["matching"]["method"] == "assignment"
+        assert rep["matching"]["is_unique"] is True
+        m, _ = max_sum(SIX)
+        assert rep["matching"]["pairs"] == [list(p) for p in m.pairs]
+        assert rep["matching"]["cost"] == max_sum_bruteforce(SIX)[0].cost
+        # the doubled triangle's cover optimum has odd cycles
+        tied = analyze(named_fixtures()["equilateral"])
+        assert tied["matching"]["method"] == "bruteforce"
+        assert tied["matching"]["is_unique"] is False

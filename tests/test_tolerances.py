@@ -35,4 +35,5 @@ class TestToleranceFactor:
     def test_scaling_shapes(self):
         assert tolerances.collinear_tol(2.0) == pytest.approx(4e-12)
         assert tolerances.pierce_tol(3.0) == pytest.approx(4e-9)
-        assert tolerances.cost_tol(9.0) == pytest.approx(1e-8)
+        assert tolerances.cost_tol(9.0) == pytest.approx(9e-9)
+        assert tolerances.cost_tol(2.0**-20) == 2.0**-20 * tolerances.cost_tol(1.0)
